@@ -72,11 +72,6 @@ fn self_compare_passes_and_injected_regression_fails() {
 fn injected_allocation_regression_fails_with_identical_times() {
     let out = tmp("alloc_self.json");
     let first = smoke_run(&out, &["--alloc-profile", "--compare", out.to_str().unwrap()]);
-    if first.status.code() == Some(2) && !telemetry::alloc::tracking_compiled() {
-        // Built without alloc-track: the flag refuses, nothing to gate.
-        let _ = std::fs::remove_file(&out);
-        return;
-    }
     assert!(
         first.status.success(),
         "alloc-profile self-compare must exit 0\nstdout: {}\nstderr: {}",
@@ -96,11 +91,6 @@ fn injected_allocation_regression_fails_with_identical_times() {
             assert!(a.get(field).and_then(Json::as_f64).is_some(), "numeric {field}");
         }
     }
-    assert!(doc
-        .get("host")
-        .and_then(|h| h.get("alloc_track_compiled"))
-        .is_some_and(|j| matches!(j, Json::Bool(true))));
-
     // Doctor the baseline so every kernel appears to have allocated 10x
     // less: wall times are untouched, so only the allocation gate can
     // fire — and it must, well past the tolerance + slack.
@@ -200,4 +190,37 @@ fn map_kernels(doc: &Json, f: impl Fn(&mut std::collections::BTreeMap<String, Js
         f(entry);
     }
     Json::Obj(top)
+}
+
+/// Reads one field of the `host` block of a written baseline.
+fn host_field(out: &Path, field: &str) -> Json {
+    let doc = json::parse(&std::fs::read_to_string(out).unwrap()).unwrap();
+    doc.get("host").and_then(|h| h.get(field)).cloned().unwrap_or(Json::Null)
+}
+
+#[test]
+fn checksum_flag_turns_sealing_on_for_the_run() {
+    let off = tmp("checksum_off.json");
+    let on = tmp("checksum_on.json");
+    assert!(smoke_run(&off, &[]).status.success());
+    let run = smoke_run(&on, &["--checksum"]);
+    assert!(run.status.success(), "stderr: {}", String::from_utf8_lossy(&run.stderr));
+    assert!(matches!(host_field(&off, "checksum_enabled"), Json::Bool(false)));
+    assert!(matches!(host_field(&on, "checksum_enabled"), Json::Bool(true)));
+    for p in [&off, &on] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn num_threads_env_caps_the_parallel_budget() {
+    let out = tmp("threads_1.json");
+    let run = bin()
+        .args(["--smoke", "--out", out.to_str().unwrap()])
+        .env("ALCHEMIST_NUM_THREADS", "1")
+        .output()
+        .expect("bench_kernels runs");
+    assert!(run.status.success(), "stderr: {}", String::from_utf8_lossy(&run.stderr));
+    assert_eq!(host_field(&out, "threads").as_f64(), Some(1.0));
+    let _ = std::fs::remove_file(&out);
 }

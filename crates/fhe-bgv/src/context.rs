@@ -39,7 +39,7 @@ pub struct BgvCiphertext {
     c1: RnsPoly,
     level: usize,
     /// Integrity checksum over both components, `None` when sealing is
-    /// disabled (feature or runtime switch).
+    /// switched off at runtime.
     seal: Option<u64>,
 }
 
@@ -235,7 +235,7 @@ impl BgvContext {
         // Centered lift mod t: every q ≡ 1 (mod t) ⇒ Q ≡ 1 (mod t).
         let half = q_prod.divrem_u64(2).0;
         let q_mod_t = q_prod.rem_u64(t);
-        fhe_math::strict_assert_eq!(q_mod_t, 1, "chain must be ≡ 1 mod t");
+        assert_eq!(q_mod_t, 1, "chain must be ≡ 1 mod t");
         let mut m_coeffs = vec![0u64; n];
         for (i, mc) in m_coeffs.iter_mut().enumerate() {
             let big = if level == 0 {
@@ -741,9 +741,6 @@ mod tests {
 
     #[test]
     fn corrupted_ciphertext_is_detected_at_api_boundaries() {
-        if !fhe_math::checksum_enabled() {
-            return;
-        }
         let (ctx, mut rng) = setup();
         let sk = ctx.generate_secret_key(&mut rng);
         let slots: Vec<u64> = (0..64).map(|i| (i * 7) % 257).collect();

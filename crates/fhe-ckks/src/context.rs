@@ -123,11 +123,7 @@ impl CkksContext {
     /// CRT-reconstructs coefficient `idx` of a coefficient-domain poly over
     /// channels `0..=level` and returns the *centered* value as `f64`.
     pub fn centered_coefficient(&self, poly: &RnsPoly, level: usize, idx: usize) -> f64 {
-        fhe_math::strict_assert_eq!(
-            poly.num_channels(),
-            level + 1,
-            "polynomial channel count must match level + 1"
-        );
+        assert_eq!(poly.num_channels(), level + 1, "polynomial channel count must match level + 1");
         if level == 0 {
             let m = self.rns.moduli()[0];
             return m.to_centered(poly.channel(0).coeffs()[idx]) as f64;

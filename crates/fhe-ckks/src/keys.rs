@@ -27,12 +27,7 @@ fn crt_reconstruct(residues: &[u64], moduli: &[Modulus]) -> UBig {
     let mut acc = UBig::zero();
     for (i, &m) in moduli.iter().enumerate() {
         let (qhat, rem) = q.divrem_u64(m.value());
-        fhe_math::strict_assert_eq!(
-            rem,
-            0,
-            "CRT basis corrupt: Q not divisible by channel modulus {}",
-            m.value()
-        );
+        assert_eq!(rem, 0, "CRT basis corrupt: Q not divisible by channel modulus {}", m.value());
         let qhat_mod = qhat.rem_u64(m.value());
         let inv = m.inv(qhat_mod).expect("prime moduli are invertible");
         acc = acc.add(&qhat.mul_u64(m.mul(residues[i], inv)));

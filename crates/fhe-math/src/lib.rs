@@ -60,7 +60,6 @@ mod sampling;
 mod scratch;
 #[allow(unsafe_code)]
 pub mod simd;
-mod strict;
 
 pub use aligned::AVec;
 pub use bigint::UBig;
@@ -77,4 +76,3 @@ pub use prime::{generate_ntt_primes, generate_primes_with_step, is_prime};
 pub use rns::{BconvPlan, RnsBasis, RnsContext, RnsPoly};
 pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, GaussianSampler};
 pub use scratch::{scratch_stats, Scratch, ScratchStats};
-pub use strict::strict_checks_enabled;

@@ -49,11 +49,7 @@ impl MontgomeryContext {
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(q.wrapping_mul(inv)));
         }
-        crate::strict_assert_eq!(
-            q.wrapping_mul(inv),
-            1,
-            "Newton iteration failed to invert q={q} mod 2^64"
-        );
+        assert_eq!(q.wrapping_mul(inv), 1, "Newton iteration failed to invert q={q} mod 2^64");
         let r2 = modulus.reduce_u128(((1u128 << 64) % q as u128).pow(2));
         Ok(MontgomeryContext { modulus, neg_q_inv: inv.wrapping_neg(), r2 })
     }
@@ -82,7 +78,7 @@ impl MontgomeryContext {
     /// (`a ↦ a·2^64 mod q`).
     #[inline]
     pub fn to_montgomery(&self, a: u64) -> u64 {
-        crate::strict_assert!(
+        assert!(
             a < self.modulus.value(),
             "non-canonical operand to MontgomeryContext::to_montgomery: a={a}"
         );

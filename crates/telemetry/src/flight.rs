@@ -46,7 +46,7 @@ pub enum FlightEvent {
         /// Duration in nanoseconds.
         dur_ns: u64,
         /// Heap allocations attributed to the span (zero for virtual
-        /// spans and when the `alloc-track` feature is off).
+        /// spans).
         allocs: u64,
         /// Bytes requested by those allocations.
         alloc_bytes: u64,
